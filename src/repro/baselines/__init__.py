@@ -8,12 +8,11 @@
 * :class:`PIDController` — proportional-integral-derivative tracking of a
   setpoint, a stronger conventional baseline.
 * :class:`RandomController` — the sanity floor.
-* :class:`LookaheadController` — a model-based myopic oracle that picks
-  the one-step-reward-optimal action using the true simulator model; a
-  reference the model-free agents should approach on myopic behaviour.
-* :class:`MPCController` — receding-horizon planning over an identified
-  (or true) zone model; the classical model-based alternative whose
-  model requirement is the paper's motivation for model-free DRL.
+* :class:`LookaheadController` and :class:`MPCController` — one batched
+  exhaustive planner (:mod:`repro.baselines.planner`) in two settings:
+  the myopic one-step oracle on the true simulator model, and
+  receding-horizon MPC over an identified (or true) zone model, the
+  model-based alternative whose model requirement motivates DRL.
 """
 
 from repro.baselines.rule_based import ThermostatController

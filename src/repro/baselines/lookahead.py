@@ -9,19 +9,22 @@ model-free agents and a check that the environment's reward surface is
 sane.
 
 Only feasible for modest joint action spaces (``levels**zones``); the
-constructor guards against combinatorial blow-up.
+constructor guards against combinatorial blow-up.  It also rejects a
+building with a zone cut off from the outside air: the batched search
+needs the exact RC propagator, which ``HVACEnv`` replaces by Euler there.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.agent import AgentBase
+from repro.baselines.planner import ExhaustivePlanner
 from repro.env.core import Env
 from repro.env.hvac_env import HVACEnv
+from repro.hvac.kernel import thermal_advance
 
 
-class LookaheadController(AgentBase):
+class LookaheadController(ExhaustivePlanner):
     """One-step exhaustive search over the true simulator model."""
 
     def __init__(self, env: Env, *, max_joint_actions: int = 4096) -> None:
@@ -35,48 +38,19 @@ class LookaheadController(AgentBase):
             raise ValueError(
                 f"joint action space of {n_joint} exceeds limit {max_joint_actions}"
             )
-        self.env = inner
+        if inner.building.network._m_inverse is None:
+            raise ValueError("LookaheadController needs every zone coupled to ambient")
+        super().__init__(inner, horizon=1)
 
-    def _one_step_reward(self, levels: np.ndarray) -> float:
-        """Reproduce HVACEnv.step's reward for a candidate action."""
-        env = self.env
-        i = env.time_index
-        day = env.weather.day_of_year(i)
-        hour = env.weather.hour_of_day(i)
-        temp_out = float(env.weather.temp_out_c[i])
-        ghi = float(env.weather.ghi_w_m2[i])
-        dt = env.weather.dt_seconds
-        temps = env.zone_temps_c
-
-        hvac_heat = env.vav.zone_heat_w(levels, temps)
-        power = env.vav.electric_power_w(levels, temps, temp_out)
-        cost = env.tariff.energy_cost_usd(power, dt, day, hour)
-        new_temps = env.building.step(
-            temps,
-            temp_out_c=temp_out,
-            ghi_w_m2=ghi,
-            hvac_heat_w=hvac_heat,
-            day_of_year=day,
-            hour_of_day=hour,
-            dt_seconds=dt,
-        )
-        occupied = env.building.occupancy(day, hour)
-        violation = float(
-            env.comfort.violations_deg(new_temps, occupied).sum() * dt / 3600.0
-        )
-        return (
-            -env.config.cost_weight * cost
-            - env.config.comfort_weight * violation
+    def _advance(self, temps, hvac_heat, temp_out, ghi, occupied, day, hour):
+        """The building's RC network advanced for every candidate at once."""
+        net, b = self.env.building.network, self._backend
+        decay, gain = net._propagator(self.env.weather.dt_seconds)
+        gains = self.env.building.internal_gains_w(day, hour)
+        return thermal_advance(
+            b, self._columns, decay, gain, net.capacitance, net.ua_ambient,
+            temps, temp_out, ghi, gains, hvac_heat,
         )
 
     def select_action(self, obs: np.ndarray, *, explore: bool = False) -> np.ndarray:
-        space = self.env.action_space
-        best_reward = -np.inf
-        best_levels = space.unflatten(0)
-        for joint in range(space.n_joint):
-            levels = space.unflatten(joint)
-            reward = self._one_step_reward(levels)
-            if reward > best_reward:
-                best_reward = reward
-                best_levels = levels
-        return best_levels
+        return self._plan()

@@ -14,19 +14,18 @@ why the multi-zone story needs either factorization or model-free RL.
 
 from __future__ import annotations
 
-from itertools import product
 from typing import Optional
 
 import numpy as np
 
-from repro.core.agent import AgentBase
+from repro.baselines.planner import ExhaustivePlanner
 from repro.env.core import Env
 from repro.env.hvac_env import HVACEnv
 from repro.sysid.fit import FirstOrderZoneModel
 from repro.utils.validation import check_positive
 
 
-class MPCController(AgentBase):
+class MPCController(ExhaustivePlanner):
     """Exhaustive receding-horizon planner for single-zone buildings.
 
     Parameters
@@ -63,15 +62,13 @@ class MPCController(AgentBase):
                 f"(got {inner.building.n_zones} zones); the exponential search "
                 "is exactly what breaks in multi-zone — use the factored DRL agent"
             )
-        self.env = inner
-        self.horizon = int(horizon)
         n_levels = int(inner.action_space.nvec[0])
-        if n_levels**self.horizon > max_sequences:
+        if n_levels**horizon > max_sequences:
             raise ValueError(
-                f"{n_levels}**{self.horizon} sequences exceed limit {max_sequences}"
+                f"{n_levels}**{horizon} sequences exceed limit {max_sequences}"
             )
+        super().__init__(inner, horizon)
         self.model = model if model is not None else self._true_model(inner)
-        self._sequences = list(product(range(n_levels), repeat=self.horizon))
 
     @staticmethod
     def _true_model(env: HVACEnv) -> FirstOrderZoneModel:
@@ -92,62 +89,13 @@ class MPCController(AgentBase):
         )
 
     # ------------------------------------------------------------- planning
-    def _plan_inputs(self) -> dict:
-        """Gather the weather/occupancy/price lookahead for the horizon."""
-        env = self.env
-        idx = [
-            min(env.time_index + k, len(env.weather) - 1) for k in range(self.horizon)
-        ]
-        days = [env.weather.day_of_year(i) for i in idx]
-        hours = [env.weather.hour_of_day(i) for i in idx]
-        return {
-            "temp_out": env.weather.temp_out_c[idx],
-            "ghi": env.weather.ghi_w_m2[idx],
-            "occupied": np.array(
-                [env.building.occupancy(d, h)[0] for d, h in zip(days, hours)]
-            ),
-            "price": np.array(
-                [env.tariff.price_per_kwh(d, h) for d, h in zip(days, hours)]
-            ),
-        }
-
-    def _score_sequence(self, levels: tuple, inputs: dict, temp0: float) -> float:
-        """Total reward of one airflow-level sequence under the model."""
-        env = self.env
-        dt = env.weather.dt_seconds
-        dt_hours = dt / 3600.0
-        total = 0.0
-        temp = temp0
-        for k, level in enumerate(levels):
-            heat = env.vav.zone_heat_w(
-                np.array([level]), np.array([temp])
-            )[0]
-            power = env.vav.electric_power_w(
-                np.array([level]), np.array([temp]), float(inputs["temp_out"][k])
-            )
-            cost = power * dt / 3.6e6 * float(inputs["price"][k])
-            temp = self.model.step(
-                temp,
-                float(inputs["temp_out"][k]),
-                float(inputs["ghi"][k]),
-                float(heat),
-                bool(inputs["occupied"][k]),
-                dt,
-            )
-            violation = env.comfort.violation_deg(temp, bool(inputs["occupied"][k]))
-            total -= env.config.cost_weight * cost
-            total -= env.config.comfort_weight * violation * dt_hours
-        return total
+    def _advance(self, temps, hvac_heat, temp_out, ghi, occupied, day, hour):
+        """Zone-model prediction for every candidate at once."""
+        return self.model.step(
+            temps[:, 0], temp_out, ghi, hvac_heat[:, 0], bool(occupied[0]),
+            self.env.weather.dt_seconds,
+        )[:, None]
 
     def select_action(self, obs: np.ndarray, *, explore: bool = False) -> np.ndarray:
         """Re-plan from the current state and return the first action."""
-        inputs = self._plan_inputs()
-        temp0 = float(self.env.zone_temps_c[0])
-        best_score = -np.inf
-        best_first = 0
-        for seq in self._sequences:
-            score = self._score_sequence(seq, inputs, temp0)
-            if score > best_score:
-                best_score = score
-                best_first = seq[0]
-        return np.array([best_first])
+        return self._plan()

@@ -42,21 +42,6 @@ class ComfortBand:
         ):
             raise ValueError("setback band must contain the occupied band")
 
-    def bounds(self, occupied: bool) -> tuple[float, float]:
-        """The active (low, high) band for an occupancy state."""
-        if occupied:
-            return self.occupied_low_c, self.occupied_high_c
-        return self.setback_low_c, self.setback_high_c
-
-    def violation_deg(self, temp_c: float, occupied: bool) -> float:
-        """Degrees outside the active band (0 when inside)."""
-        low, high = self.bounds(occupied)
-        if temp_c > high:
-            return temp_c - high
-        if temp_c < low:
-            return low - temp_c
-        return 0.0
-
     def violations_deg(self, temps_c: np.ndarray, occupied: np.ndarray) -> np.ndarray:
         """Vectorized per-zone violation magnitudes."""
         temps_c = np.asarray(temps_c, dtype=np.float64)

@@ -126,6 +126,10 @@ def validate_policy(policy: AgentBase, probe_obs) -> None:
         else:
             action = np.atleast_1d(policy.select_action(probe, explore=False))
         action = np.asarray(action, dtype=float)
+        # The greedy action alone hides NaN weights feeding only the
+        # other actions' Q-values; every value (each head) must be finite.
+        q = policy.q_values(probe) if hasattr(policy, "q_values") else []
+        q_finite = all(np.all(np.isfinite(h)) for h in (q if isinstance(q, list) else [q]))
     except CheckpointFormatError:
         raise
     except Exception as exc:
@@ -136,6 +140,8 @@ def validate_policy(policy: AgentBase, probe_obs) -> None:
         raise CheckpointFormatError(
             "policy probe inference returned an empty or non-finite action"
         )
+    if not q_finite:
+        raise CheckpointFormatError("policy probe inference returned non-finite Q-values")
 
 
 @dataclass(frozen=True)

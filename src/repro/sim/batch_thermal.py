@@ -24,6 +24,7 @@ expression; a jit-capable backend (e.g. jax) compiles the same kernel.
 
 from __future__ import annotations
 
+import functools
 from collections import OrderedDict
 from typing import List, Sequence, Tuple
 
@@ -31,6 +32,7 @@ import numpy as np
 
 from repro.backend import ArrayBackend, BackendSpec, get_backend
 from repro.building.thermal import RCNetwork
+from repro.hvac.kernel import propagate
 from repro.utils.validation import check_positive
 
 #: Distinct step lengths whose stacked propagators are kept resident.
@@ -97,7 +99,7 @@ class BatchRCNetwork:
         # Columns live on the backend; numpy's asarray is a no-copy view.
         self._cap_col = b.asarray(self.capacitance)
         self._ua_col = b.asarray(self.ua_ambient)
-        self._step_core = b.jit(self._make_step_core())
+        self._step_core = b.jit(functools.partial(propagate, b))
 
         self._cache_size = int(cache_size)
         self._propagator_cache: OrderedDict[
@@ -145,19 +147,6 @@ class BatchRCNetwork:
         return props
 
     # ---------------------------------------------------------------- stepping
-    def _make_step_core(self):
-        """Pure batched update, closed over the backend's ops for ``jit``."""
-        b = self.backend
-
-        def step_core(decay, gain, temps, temp_out, heat_w, cap, ua):
-            forcing = (ua * temp_out[:, None] + heat_w) / cap
-            return (
-                b.matmul(decay, temps[..., None])[..., 0]
-                + b.matmul(gain, forcing[..., None])[..., 0]
-            )
-
-        return step_core
-
     def step(
         self,
         temps: np.ndarray,

@@ -40,7 +40,7 @@ from repro.env.hvac_env import (
     _TEMP_SCALE_C,
     HVACEnv,
 )
-from repro.hvac.vav import AIR_CP_J_PER_KG_K
+from repro.hvac.kernel import comfort_reward, plant_response, step_columns, thermal_advance
 from repro.sim.batch_thermal import BatchRCNetwork
 from repro.weather.series import SECONDS_PER_DAY, SECONDS_PER_HOUR
 
@@ -178,7 +178,6 @@ class VectorHVACEnv:
         self.autoreset = bool(autoreset)
         n = self.n_envs = len(self.envs)
         self.dt_seconds = dts.pop()
-        self._dt_hours = self.dt_seconds / 3600.0
         self.backend: ArrayBackend = get_backend(backend)
 
         self.batch_net = BatchRCNetwork(
@@ -189,42 +188,10 @@ class VectorHVACEnv:
         self.zone_mask = self.batch_net.zone_mask
 
         # ----------------------------------------------- static per-env arrays
-        self._aperture = np.zeros((n, z))
-        self._occ_low = np.empty((n, 1))
-        self._occ_high = np.empty((n, 1))
-        self._set_low = np.empty((n, 1))
-        self._set_high = np.empty((n, 1))
-        self._comfort_weight = np.empty(n)
-        self._cost_weight = np.empty(n)
-        self._episode_steps = np.empty(n, dtype=int)
-        self._trace_len = np.empty(n, dtype=int)
-        max_levels = max(env.vav.n_levels for env in self.envs)
-        self._flow_table = np.zeros((n, max_levels))
-        self._n_levels = np.empty(n, dtype=int)
-        self._supply_temp = np.empty(n)
-        self._oaf = np.empty(n)
-        self._cop = np.empty(n)
-        self._fan_scale = np.empty(n)  # fan_power_max_w * n_zones
-        self._plant_max_flow = np.empty(n)  # max_flow_kg_s * n_zones
-        for k, env in enumerate(self.envs):
-            m = env.building.n_zones
-            self._aperture[k, :m] = [zn.solar_aperture_m2 for zn in env.building.zones]
-            self._occ_low[k] = env.comfort.occupied_low_c
-            self._occ_high[k] = env.comfort.occupied_high_c
-            self._set_low[k] = env.comfort.setback_low_c
-            self._set_high[k] = env.comfort.setback_high_c
-            self._comfort_weight[k] = env.config.comfort_weight
-            self._cost_weight[k] = env.config.cost_weight
-            self._episode_steps[k] = env.episode_steps
-            self._trace_len[k] = len(env.weather)
-            cfg = env.vav.config
-            self._flow_table[k, : cfg.n_levels] = cfg.flow_levels_kg_s
-            self._n_levels[k] = cfg.n_levels
-            self._supply_temp[k] = cfg.supply_temp_c
-            self._oaf[k] = cfg.outdoor_air_fraction
-            self._cop[k] = cfg.cop
-            self._fan_scale[k] = cfg.fan_power_max_w * m
-            self._plant_max_flow[k] = cfg.max_flow_kg_s * m
+        self._columns = step_columns(self.envs, z)
+        self._episode_steps = np.array([env.episode_steps for env in self.envs])
+        self._trace_len = np.array([len(env.weather) for env in self.envs])
+        self._n_levels = np.array([env.vav.n_levels for env in self.envs])
 
         self._build_time_tables()
         self._build_obs_groups()
@@ -525,74 +492,22 @@ class VectorHVACEnv:
         """
         b = self.backend
         dt = self.dt_seconds
-        dt_hours = self._dt_hours
-        flow_table = b.asarray(self._flow_table)
-        supply = b.asarray(self._supply_temp)
-        oaf = b.asarray(self._oaf)
-        cop = b.asarray(self._cop)
-        fan_scale = b.asarray(self._fan_scale)
-        plant_max_flow = b.asarray(self._plant_max_flow)
-        aperture = b.asarray(self._aperture)
-        occ_low = b.asarray(self._occ_low)
-        occ_high = b.asarray(self._occ_high)
-        set_low = b.asarray(self._set_low)
-        set_high = b.asarray(self._set_high)
-        comfort_w = b.asarray(self._comfort_weight)
-        cost_w = b.asarray(self._cost_weight)
-        zone_mask = b.asarray(self.zone_mask)
-        n_zones = b.asarray(self.n_zones)
-        cap = b.asarray(self.batch_net.capacitance)
-        ua = b.asarray(self.batch_net.ua_ambient)
+        dt_hours = dt / 3600.0
+        c = self._columns._make(b.asarray(col) for col in self._columns)
+        cap, ua = self.batch_net._cap_col, self.batch_net._ua_col
 
         def step_core(
             decay, gain, levels, temps, temp_out, ghi, price, occupied, gains, active
         ):
-            # Plant response (mirrors VAVSystem.zone_heat_w / electric_power_w).
-            flows = b.gather(flow_table, levels, axis=1)
-            hvac_heat = flows * AIR_CP_J_PER_KG_K * (supply[:, None] - temps)
-            total_flow = b.sum(flows, axis=1)
-            frac = total_flow / plant_max_flow
-            fan_power = fan_scale * b.power(frac, 3)
-            safe_total = b.where(total_flow > 0.0, total_flow, 1.0)
-            return_temp = b.sum(flows * temps, axis=1) / safe_total
-            mixed = (1.0 - oaf) * return_temp + oaf * temp_out
-            delta = b.maximum(mixed - supply, 0.0)
-            coil_power = b.where(
-                total_flow > 0.0,
-                total_flow * AIR_CP_J_PER_KG_K * delta / cop,
-                0.0,
+            hvac_heat, cost_share, power_w, energy_kwh, cost_usd = plant_response(
+                b, c, levels, temps, temp_out, price, dt
             )
-            power_w = fan_power + coil_power
-            energy_kwh = power_w * dt / 3.6e6
-            cost_usd = energy_kwh * price
-
-            # Thermal advance (solar + internal + HVAC heat, zero-order
-            # held) — the batched propagator update, inlined so one
-            # kernel covers the whole step.
-            heat = aperture * ghi[:, None] + gains + hvac_heat
-            forcing = (ua * temp_out[:, None] + heat) / cap
-            stepped = (
-                b.matmul(decay, temps[..., None])[..., 0]
-                + b.matmul(gain, forcing[..., None])[..., 0]
+            stepped = thermal_advance(
+                b, c, decay, gain, cap, ua, temps, temp_out, ghi, gains, hvac_heat
             )
             new_temps = b.where(active[:, None], stepped, temps)
-
-            # Comfort accounting on end-of-step temperatures.
-            low = b.where(occupied, occ_low, set_low)
-            high = b.where(occupied, occ_high, set_high)
-            violations = b.maximum(0.0, b.maximum(new_temps - high, low - new_temps))
-            violations = b.where(zone_mask, violations, 0.0)
-            violation_deg_hours = b.sum(violations, axis=1) * dt_hours
-
-            reward = -cost_w * cost_usd - comfort_w * violation_deg_hours
-            cost_share = b.where(
-                total_flow[:, None] > 0.0,
-                flows / safe_total[:, None],
-                zone_mask / n_zones[:, None],
-            )
-            reward_per_zone = (
-                -cost_w[:, None] * cost_usd[:, None] * cost_share
-                - comfort_w[:, None] * violations * dt_hours
+            violations, violation_deg_hours, reward, reward_per_zone = comfort_reward(
+                b, c, new_temps, occupied, cost_usd, cost_share, dt_hours
             )
             reward = b.where(active, reward, 0.0)
             return (

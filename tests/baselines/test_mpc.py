@@ -1,9 +1,18 @@
 """Tests for the receding-horizon MPC baseline."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
-from repro.baselines import MPCController, RandomController, ThermostatController
+from repro.baselines import (
+    LookaheadController,
+    MPCController,
+    RandomController,
+    ThermostatController,
+)
+from repro.building import four_zone_office, single_zone_building
+from repro.env import HVACEnv, HVACEnvConfig
 from repro.eval import evaluate_controller, run_episode
 from repro.sysid import collect_trace, fit_first_order_zone
 
@@ -71,3 +80,53 @@ class TestWithIdentifiedModel:
         )
         assert metrics.episode_return > rand_metrics.episode_return
         assert metrics.violation_rate < 0.2
+
+
+def rollout_score(env, model, levels):
+    """Reward of one level sequence, stepped scalar-by-scalar."""
+    dt = env.weather.dt_seconds
+    temp = float(env.zone_temps_c[0])
+    total = 0.0
+    for k, level in enumerate(levels):
+        i = min(env.time_index + k, len(env.weather) - 1)
+        day, hour = env.weather.day_of_year(i), env.weather.hour_of_day(i)
+        temp_out = float(env.weather.temp_out_c[i])
+        occupied = bool(env.building.occupancy(day, hour)[0])
+        heat = float(env.vav.zone_heat_w([level], [temp])[0])
+        power = env.vav.electric_power_w([level], [temp], temp_out)
+        cost = env.tariff.energy_cost_usd(power, dt, day, hour)
+        temp = model.step(
+            temp, temp_out, float(env.weather.ghi_w_m2[i]), heat, occupied, dt
+        )
+        violation = float(env.comfort.violations_deg(np.array([temp]), np.array([occupied]))[0])
+        total += -env.config.cost_weight * cost
+        total += -env.config.comfort_weight * violation * dt / 3600.0
+    return total
+
+
+class TestBatchedScores:
+    def test_scores_match_stepwise_rollout(self, single_zone_env):
+        single_zone_env.reset()
+        mpc = MPCController(single_zone_env, horizon=3)
+        sequences = list(product(range(4), repeat=3))
+        # Midnight, a warm occupied morning, and late evening.
+        for n_steps in (0, 44, 40):
+            for _ in range(n_steps):
+                single_zone_env.step([0])
+            scores = mpc._scores()
+            assert scores.shape == (len(sequences),)
+            for seq, score in zip(sequences, scores):
+                expected = rollout_score(single_zone_env, mpc.model, seq)
+                assert score == pytest.approx(expected, rel=0.0, abs=1e-12), seq
+
+    def test_all_tied_scores_pick_level_zero(self, summer_weather):
+        config = HVACEnvConfig(episode_days=1.0, cost_weight=0.0, comfort_weight=0.0)
+        single = HVACEnv(single_zone_building(), summer_weather, config=config, rng=0)
+        multi = HVACEnv(four_zone_office(), summer_weather, config=config, rng=0)
+        single.reset()
+        multi.reset()
+        mpc = MPCController(single, horizon=3)
+        assert np.all(mpc._scores() == mpc._scores()[0])
+        assert np.array_equal(mpc.select_action(None), [0])
+        assert np.array_equal(LookaheadController(single).select_action(None), [0])
+        assert np.array_equal(LookaheadController(multi).select_action(None), [0] * 4)

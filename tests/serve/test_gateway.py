@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import DQNAgent
 from repro.serve import (
+    CheckpointFormatError,
     FleetGateway,
     MicroBatcherConfig,
     ResilienceConfig,
@@ -280,3 +281,19 @@ class TestHotSwap:
         gateway.batcher.flush()
         assert all(t.done for t in tickets)
         assert {t.policy_key for t in tickets} == {"dqn@1"}
+
+    def test_swap_to_partly_nan_policy_rolls_back(self):
+        vec = make_fleet(2)
+        registry = make_registry(vec)
+        gateway = FleetGateway(vec, registry, "dqn", config=DETERMINISTIC)
+        gateway.run(1)
+        env = vec.envs[0]
+        poisoned = DQNAgent(env.obs_dim, env.action_space, rng=3)
+        poisoned.online.parameters()[-1].value[1] = np.nan  # one Q column
+        with pytest.raises(CheckpointFormatError, match="non-finite Q-values"):
+            gateway.swap("dqn", poisoned)
+        assert registry.latest_rev("dqn") == 1
+        gateway.run(1)
+        stats = gateway.stats
+        assert stats.swaps == 0
+        assert stats.requests_per_policy == {"dqn@1": 4}

@@ -192,6 +192,26 @@ class TestTransactionalSwap:
             registry.publish("bad", NaNPolicy(), probe_obs=self.probe())
         assert "bad" not in registry
 
+    def test_partly_nan_q_values_rejected(self):
+        """Regression: one NaN output column leaves the greedy action
+        finite, but the policy must still be rejected."""
+        agent = make_agent(1)
+        agent.online.parameters()[-1].value[2] = np.nan  # output bias
+        q = agent.q_values(self.probe())
+        assert np.isnan(q[2]) and np.all(np.isfinite(np.delete(q, 2)))
+        registry = PolicyRegistry()
+        incumbent = registry.publish("dqn", make_agent(0))
+        with pytest.raises(CheckpointFormatError, match="non-finite Q-values"):
+            registry.publish("dqn", agent, probe_obs=self.probe())
+        assert registry.latest_rev("dqn") == 1
+        assert registry.resolve("dqn").policy is incumbent.policy
+
+    def test_factored_agent_with_one_nan_head_rejected(self):
+        agent = FactoredDQNAgent(6, MultiDiscrete([3, 3]), rng=7)
+        agent.online[1].parameters()[-1].value[0] = np.nan
+        with pytest.raises(CheckpointFormatError, match="non-finite Q-values"):
+            PolicyRegistry().publish("mz", agent, probe_obs=self.probe())
+
     def test_truncated_json_swap_mid_serve(self, tmp_path):
         """Regression: a half-written checkpoint swapped mid-serve must
         raise CheckpointFormatError and leave the incumbent serving."""
