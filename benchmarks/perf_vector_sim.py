@@ -82,23 +82,26 @@ def _time_scalar(weather, n_envs: int, n_steps: int) -> float:
     return time.perf_counter() - start
 
 
-def _time_fleet(weather, n_envs: int, n_steps: int, backend=None) -> float:
-    """Steady-state aggregate env-steps/sec for one fleet size.
+def _time_fleet(weather, n_envs: int, n_steps: int, backend=None) -> tuple:
+    """Returns ``(env_steps_per_s, construction_seconds)`` for one fleet size.
 
-    One warmup step runs outside the timed window so the propagator
-    build (and a jit backend's compilation) doesn't bill the steady
-    state the metric is about.
+    Construction is building the scalar envs plus ``VectorHVACEnv(...)``.
+    One warmup step runs outside the timed stepping window so the
+    propagator build (and a jit backend's compilation) doesn't bill the
+    steady state the throughput is about.
     """
+    start = time.perf_counter()
     vec = VectorHVACEnv(
         [_make_env(weather, seed) for seed in range(n_envs)], backend=backend
     )
+    construction_s = time.perf_counter() - start
     vec.reset()
     action = np.ones((n_envs, 1), dtype=int)
     vec.step(action)
     start = time.perf_counter()
     for _ in range(n_steps):
         vec.step(action)
-    return n_envs * n_steps / (time.perf_counter() - start)
+    return n_envs * n_steps / (time.perf_counter() - start), construction_s
 
 
 def run_fleet_scale(sizes, n_steps: int = 8, backend=None) -> dict:
@@ -108,19 +111,23 @@ def run_fleet_scale(sizes, n_steps: int = 8, backend=None) -> dict:
     (steps/s at the smallest): a machine-independent ratio that collapses
     toward 1 if per-env Python work sneaks back into the step path, so
     it is the gated metric; the absolute per-size numbers are recorded
-    for trend-reading.
+    for trend-reading.  So is ``fleet_construction_seconds`` (scalar-env
+    build plus ``VectorHVACEnv(...)`` per size), which is not gated.
     """
     weather = generate_weather(
         SyntheticWeatherConfig(), start_day_of_year=213, n_days=3, rng=42
     )
-    steps_per_s = {}
+    steps_per_s, construction_s = {}, {}
     for n in sizes:
-        steps_per_s[str(n)] = _time_fleet(weather, n, n_steps, backend=backend)
+        steps_per_s[str(n)], construction_s[str(n)] = _time_fleet(
+            weather, n, n_steps, backend=backend
+        )
     smallest, largest = str(sizes[0]), str(sizes[-1])
     return {
         "fleet_sizes": list(sizes),
         "fleet_n_steps": n_steps,
         "fleet_steps_per_s": steps_per_s,
+        "fleet_construction_seconds": construction_s,
         "fleet_largest_env_steps_per_s": steps_per_s[largest],
         "fleet_scaling_efficiency": steps_per_s[largest] / steps_per_s[smallest],
     }
@@ -210,7 +217,11 @@ def main(argv=None) -> int:
     )
     if "fleet_steps_per_s" in record:
         for size, rate in record["fleet_steps_per_s"].items():
-            print(f"  fleet {int(size):>6,}: {rate:>12,.0f} env-steps/s")
+            build_s = record["fleet_construction_seconds"][size]
+            print(
+                f"  fleet {int(size):>6,}: {rate:>12,.0f} env-steps/s, "
+                f"built in {build_s:.2f}s"
+            )
         print(
             f"  fleet scaling efficiency "
             f"({record['fleet_sizes'][-1]:,} vs {record['fleet_sizes'][0]:,}): "

@@ -8,7 +8,10 @@ lookups, tariff pricing, plant arithmetic, RC integration, comfort
 accounting) is either precomputed into time-indexed tables at
 construction or batched across the fleet with numpy, so aggregate
 throughput scales far better than stepping N scalar envs sequentially
-(see ``benchmarks/perf_vector_sim.py``).
+(see ``benchmarks/perf_vector_sim.py``).  Construction is columnar too:
+each table row is computed once per unique (calendar, tariff, schedule)
+signature and scattered to the envs that share it, so a fleet of similar
+buildings pays the Python lookups once, not once per env.
 
 Heterogeneity is handled by padding: zone-indexed arrays are padded to
 the widest building and masked, observation rows are padded to the
@@ -26,7 +29,7 @@ operation for operation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,7 +45,7 @@ from repro.env.hvac_env import (
 )
 from repro.hvac.kernel import comfort_reward, plant_response, step_columns, thermal_advance
 from repro.sim.batch_thermal import BatchRCNetwork
-from repro.weather.series import SECONDS_PER_DAY, SECONDS_PER_HOUR
+from repro.weather.series import sample_calendar
 
 
 @dataclass
@@ -131,6 +134,29 @@ class _EnvView:
         return getattr(self._env, name)
 
 
+def _unique_rows(
+    keys: Sequence[tuple], compute: Callable[..., np.ndarray]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Evaluate ``compute(*key)`` once per distinct key.
+
+    Returns the stacked rows, in first-seen order, and for each key the
+    index of its row.  A key that cannot be hashed (a custom component
+    without value semantics) gets a row of its own.
+    """
+    rows: List[np.ndarray] = []
+    seen: Dict[tuple, int] = {}
+    row_of = []
+    for key in keys:
+        try:
+            r = seen.setdefault(key, len(rows))
+        except TypeError:
+            r = len(rows)
+        if r == len(rows):
+            rows.append(compute(*key))
+        row_of.append(r)
+    return np.stack(rows), np.array(row_of, dtype=int)
+
+
 class VectorHVACEnv:
     """Batched ``reset``/``step`` over a fleet of scalar HVAC environments.
 
@@ -210,84 +236,85 @@ class VectorHVACEnv:
     def _build_time_tables(self) -> None:
         """Precompute every time-indexed input as ``(n_envs, T)`` tables.
 
-        Schedule and tariff lookups are memoized on their (frozen,
-        value-hashable) config objects, so fleets of similar buildings pay
-        the Python cost once per unique (component, time) pair.
+        Each row is computed once per unique signature and scattered to
+        every env sharing it by fancy indexing:
+
+        * one calendar row (day, hour, sin/cos of hour, workday) per
+          (start day, trace length) — ``dt`` is fleet-wide;
+        * one price row per (tariff, calendar);
+        * one occupancy/gains row per (schedule, calendar), with gains
+          scaled by the zone's floor area at the scatter.
+
+        Tariffs and schedules are keyed by their (frozen, value-hashable)
+        configs; an unhashable custom one gets a row of its own.  Past a
+        trace's end, weather, day and hour hold the last sample so gathers
+        at a frozen terminal index stay in range (``done`` fires before a
+        padded value can influence an active env); the other tables and
+        the padded zones are zero.
         """
-        n = self.n_envs
+        n, z, dt = self.n_envs, self.max_zones, self.dt_seconds
         t_max = int(self._trace_len.max())
-        z = self.max_zones
-        self._temp_out = np.zeros((n, t_max))
-        self._ghi = np.zeros((n, t_max))
-        self._price = np.zeros((n, t_max))
+
+        # samples[c]: calendar c's (int day, float hour) pairs, the argument
+        # types of the scalar tariff/schedule lookups.
+        samples: List[List[Tuple[int, float]]] = []
+
+        def calendar_row(start_day: int, t: int) -> np.ndarray:
+            days, hours = sample_calendar(start_day, np.arange(t), dt)
+            samples.append(list(zip(days.tolist(), hours.tolist())))
+            row = np.zeros((5, t_max))
+            row[0, :t], row[0, t:] = days, days[-1]
+            row[1, :t], row[1, t:] = hours, hours[-1]
+            row[2, :t] = np.sin(2.0 * np.pi * hours / 24.0)
+            row[3, :t] = np.cos(2.0 * np.pi * hours / 24.0)
+            row[4, :t] = np.where((days - 1) % 7 >= 5, 0.0, 1.0)
+            return row
+
+        calendars, cal_of = _unique_rows(
+            [(env.weather.start_day_of_year, len(env.weather)) for env in self.envs],
+            calendar_row,
+        )
+        self._day = calendars[:, 0][cal_of].astype(int)
+        self._hour = calendars[:, 1][cal_of]
+        self._sin_hour = calendars[:, 2][cal_of]
+        self._cos_hour = calendars[:, 3][cal_of]
+        self._workday = calendars[:, 4][cal_of]
+
+        def price_row(tariff, c: int) -> np.ndarray:
+            row = np.zeros(t_max)
+            row[: len(samples[c])] = [tariff.price_per_kwh(d, h) for d, h in samples[c]]
+            return row
+
+        prices, price_of = _unique_rows(
+            [(env.tariff, c) for env, c in zip(self.envs, cal_of)], price_row
+        )
+        self._price = prices[price_of]
+
+        def schedule_row(sched, c: int) -> np.ndarray:
+            row = np.zeros((2, t_max))
+            t = len(samples[c])
+            row[0, :t] = [sched.occupied(d, h) for d, h in samples[c]]
+            row[1, :t] = [sched.gains_w_per_m2(d, h) for d, h in samples[c]]
+            return row
+
+        slots = [
+            (k, j, sched, cal_of[k], zone.floor_area_m2)
+            for k, env in enumerate(self.envs)
+            for j, (zone, sched) in enumerate(zip(env.building.zones, env.building.schedules))
+        ]
+        env_idx, zone_idx, scheds, sched_cals, areas = zip(*slots)
+        occupancy, sched_of = _unique_rows(list(zip(scheds, sched_cals)), schedule_row)
         self._occupied = np.zeros((n, t_max, z), dtype=bool)
+        self._occupied[env_idx, :, zone_idx] = occupancy[:, 0][sched_of]
         self._gains = np.zeros((n, t_max, z))
-        self._sin_hour = np.zeros((n, t_max))
-        self._cos_hour = np.zeros((n, t_max))
-        self._workday = np.zeros((n, t_max))
-        self._day = np.zeros((n, t_max), dtype=int)
-        self._hour = np.zeros((n, t_max))
+        self._gains[env_idx, :, zone_idx] = occupancy[:, 1][sched_of] * np.array(areas)[:, None]
 
-        sched_cache: Dict[tuple, Tuple[bool, float]] = {}
-        price_cache: Dict[tuple, float] = {}
+        self._temp_out = np.empty((n, t_max))
+        self._ghi = np.empty((n, t_max))
         for k, env in enumerate(self.envs):
-            t = len(env.weather)
-            dt = env.weather.dt_seconds
-            seconds = np.arange(t) * dt
-            hours = (seconds % SECONDS_PER_DAY) / SECONDS_PER_HOUR
-            days = (
-                (env.weather.start_day_of_year - 1 + (seconds // SECONDS_PER_DAY).astype(int))
-                % 365
-            ) + 1
-            self._hour[k, :t] = hours
-            self._day[k, :t] = days
-            self._sin_hour[k, :t] = np.sin(2.0 * np.pi * hours / 24.0)
-            self._cos_hour[k, :t] = np.cos(2.0 * np.pi * hours / 24.0)
-            self._workday[k, :t] = np.where((days - 1) % 7 >= 5, 0.0, 1.0)
-            self._temp_out[k, :t] = env.weather.temp_out_c
-            self._ghi[k, :t] = env.weather.ghi_w_m2
-            # Pad past the trace end with the last sample so gathers at a
-            # frozen terminal index stay in range; `done` fires before any
-            # padded value can influence an active env.
-            if t < t_max:
-                self._temp_out[k, t:] = env.weather.temp_out_c[-1]
-                self._ghi[k, t:] = env.weather.ghi_w_m2[-1]
-                self._hour[k, t:] = hours[-1]
-                self._day[k, t:] = days[-1]
-
-            tariff = env.tariff
-            for i in range(t):
-                try:
-                    key = (tariff, int(days[i]), float(hours[i]))
-                    price = price_cache[key]
-                except KeyError:
-                    price = tariff.price_per_kwh(int(days[i]), float(hours[i]))
-                    price_cache[key] = price
-                except TypeError:  # unhashable custom tariff: no memoization
-                    price = tariff.price_per_kwh(int(days[i]), float(hours[i]))
-                self._price[k, i] = price
-
-            for j, (zone, sched) in enumerate(
-                zip(env.building.zones, env.building.schedules)
-            ):
-                area = zone.floor_area_m2
-                for i in range(t):
-                    try:
-                        key = (sched, int(days[i]), float(hours[i]))
-                        entry = sched_cache[key]
-                    except KeyError:
-                        entry = (
-                            sched.occupied(int(days[i]), float(hours[i])),
-                            sched.gains_w_per_m2(int(days[i]), float(hours[i])),
-                        )
-                        sched_cache[key] = entry
-                    except TypeError:  # unhashable custom schedule
-                        entry = (
-                            sched.occupied(int(days[i]), float(hours[i])),
-                            sched.gains_w_per_m2(int(days[i]), float(hours[i])),
-                        )
-                    self._occupied[k, i, j] = entry[0]
-                    self._gains[k, i, j] = entry[1] * area
+            t, temp, ghi = len(env.weather), env.weather.temp_out_c, env.weather.ghi_w_m2
+            self._temp_out[k, :t], self._temp_out[k, t:] = temp, temp[-1]
+            self._ghi[k, :t], self._ghi[k, t:] = ghi, ghi[-1]
 
     def _build_obs_groups(self) -> None:
         signatures: Dict[Tuple[int, int], List[int]] = {}

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.utils.validation import check_positive
-from repro.weather.series import SECONDS_PER_DAY, WeatherSeries
+from repro.weather.series import SECONDS_PER_DAY, WeatherSeries, sample_calendar
 from repro.weather.solar import clear_sky_ghi, solar_elevation_deg
 
 
@@ -69,16 +69,10 @@ def inject_heat_wave(
     anomaly = peak_amplitude_c * np.sin(phase)
     temp[start:stop] += anomaly
     boosted = ghi[start:stop] * (1.0 + (ghi_boost - 1.0) * np.sin(phase))
-    ceiling = np.array(
-        [
-            clear_sky_ghi(
-                solar_elevation_deg(
-                    latitude_deg, series.day_of_year(i), series.hour_of_day(i)
-                )
-            )
-            for i in range(start, stop)
-        ]
+    days, hours = sample_calendar(
+        series.start_day_of_year, np.arange(start, stop), series.dt_seconds
     )
+    ceiling = clear_sky_ghi(solar_elevation_deg(latitude_deg, days, hours))
     # The cap binds the *boost*, not the underlying trace: a sample that
     # already exceeded the model ceiling is never pushed below its
     # original value (and a sub-unity boost still dims freely).

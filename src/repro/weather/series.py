@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Tuple
 
 import numpy as np
 
@@ -10,6 +11,21 @@ from repro.utils.validation import check_finite, check_positive
 
 SECONDS_PER_DAY = 86_400.0
 SECONDS_PER_HOUR = 3_600.0
+
+
+def sample_calendar(
+    start_day_of_year: int, indices: np.ndarray, dt_seconds: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Day of year (1..365, wrapping) and hour of day of sample ``indices``.
+
+    The columnar form of :meth:`WeatherSeries.day_of_year` and
+    :meth:`WeatherSeries.hour_of_day`, with the same arithmetic, for a
+    trace whose sample 0 is midnight of ``start_day_of_year``.
+    """
+    seconds = np.asarray(indices) * dt_seconds
+    days = (start_day_of_year - 1 + (seconds // SECONDS_PER_DAY).astype(int)) % 365 + 1
+    hours = (seconds % SECONDS_PER_DAY) / SECONDS_PER_HOUR
+    return days, hours
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,9 @@ harmonic (lagged so the daily peak lands mid-afternoon) plus an AR(1)
 stochastic residual.  Irradiance is clear-sky GHI from solar geometry,
 attenuated by a slowly varying stochastic cloud factor.  The generator is
 deterministic given a seed, so every experiment can pin its weather.
+
+The trace is built as arrays: one ``standard_normal(2n)`` draw supplies
+the innovations, and only the two AR(1) recursions run as a loop.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import numpy as np
 
 from repro.utils.seeding import RandomState, ensure_rng
 from repro.utils.validation import check_in_range, check_positive
-from repro.weather.series import SECONDS_PER_DAY, WeatherSeries
+from repro.weather.series import SECONDS_PER_DAY, WeatherSeries, sample_calendar
 from repro.weather.solar import clear_sky_ghi, solar_elevation_deg
 
 
@@ -72,46 +75,52 @@ def generate_weather(
     dt_seconds:
         Sampling period; 900 s matches the paper's 15-minute control step.
     rng:
-        Seed or generator for the stochastic residuals.
+        Seed or generator for the stochastic residuals.  Arguments are
+        validated before anything is drawn from it, so a rejected call
+        leaves a caller's generator untouched.
     """
     check_positive("n_days", n_days)
     check_positive("dt_seconds", dt_seconds)
-    rng = ensure_rng(rng)
+    if not 1 <= int(start_day_of_year) <= 365:
+        raise ValueError(
+            f"start_day_of_year must be in [1, 365], got {start_day_of_year}"
+        )
     n_steps = int(round(n_days * SECONDS_PER_DAY / dt_seconds))
     if n_steps < 1:
         raise ValueError("trace must contain at least one sample")
+    rng = ensure_rng(rng)
 
-    temp = np.empty(n_steps)
-    ghi = np.empty(n_steps)
+    days, hours = sample_calendar(start_day_of_year, np.arange(n_steps), dt_seconds)
 
     # AR(1) residuals: innovations scaled so the stationary std matches cfg.
-    temp_noise = 0.0
+    # Even draws drive temperature and odd draws cloud, the order of the
+    # per-sample (temperature, cloud) pairs the residuals are defined by.
     temp_innov_std = config.noise_std_c * np.sqrt(1.0 - config.noise_ar1**2)
-    cloud = config.cloud_mean
     cloud_innov_std = config.cloud_std * np.sqrt(1.0 - config.cloud_ar1**2)
+    innovations = rng.standard_normal(2 * n_steps)
+    temp_innov = (temp_innov_std * innovations[0::2]).tolist()
+    cloud_innov = (cloud_innov_std * innovations[1::2]).tolist()
 
-    for i in range(n_steps):
-        seconds = i * dt_seconds
-        day = (start_day_of_year - 1 + int(seconds // SECONDS_PER_DAY)) % 365 + 1
-        hour = (seconds % SECONDS_PER_DAY) / 3600.0
+    # The two recursions are inherently sequential; everything else is
+    # columnar.  Plain floats keep the loop cheap.
+    temp_ar1, cloud_ar1 = config.noise_ar1, config.cloud_ar1
+    cloud_pull = (1.0 - cloud_ar1) * config.cloud_mean
+    temp_noise, cloud = [], []
+    t_res, c_res = 0.0, config.cloud_mean
+    for t_in, c_in in zip(temp_innov, cloud_innov):
+        t_res = temp_ar1 * t_res + t_in
+        c_res = min(max(cloud_ar1 * c_res + cloud_pull + c_in, 0.05), 1.0)
+        temp_noise.append(t_res)
+        cloud.append(c_res)
 
-        seasonal = config.seasonal_amplitude_c * np.cos(
-            2.0 * np.pi * (day - config.peak_day_of_year) / 365.0
-        )
-        diurnal = config.diurnal_amplitude_c * np.cos(
-            2.0 * np.pi * (hour - config.peak_hour_of_day) / 24.0
-        )
-        temp_noise = config.noise_ar1 * temp_noise + rng.normal(0.0, temp_innov_std)
-        temp[i] = config.annual_mean_c + seasonal + diurnal + temp_noise
-
-        cloud = (
-            config.cloud_ar1 * cloud
-            + (1.0 - config.cloud_ar1) * config.cloud_mean
-            + rng.normal(0.0, cloud_innov_std)
-        )
-        cloud = float(np.clip(cloud, 0.05, 1.0))
-        elev = solar_elevation_deg(config.latitude_deg, day, hour)
-        ghi[i] = cloud * clear_sky_ghi(elev)
+    seasonal = config.seasonal_amplitude_c * np.cos(
+        2.0 * np.pi * (days - config.peak_day_of_year) / 365.0
+    )
+    diurnal = config.diurnal_amplitude_c * np.cos(
+        2.0 * np.pi * (hours - config.peak_hour_of_day) / 24.0
+    )
+    temp = config.annual_mean_c + seasonal + diurnal + np.array(temp_noise)
+    ghi = np.array(cloud) * clear_sky_ghi(solar_elevation_deg(config.latitude_deg, days, hours))
 
     return WeatherSeries(
         dt_seconds=dt_seconds,

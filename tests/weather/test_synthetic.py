@@ -33,6 +33,21 @@ class TestGeneration:
         with pytest.raises(ValueError, match="n_days"):
             generate_weather(SyntheticWeatherConfig(), start_day_of_year=1, n_days=0)
 
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"start_day_of_year": 400, "n_days": 2}, "start_day_of_year"),
+            ({"start_day_of_year": 0, "n_days": 2}, "start_day_of_year"),
+            ({"start_day_of_year": 1, "n_days": 1e-4}, "at least one sample"),
+        ],
+    )
+    def test_rejected_call_leaves_generator_untouched(self, kwargs, match):
+        g = np.random.default_rng(3)
+        before = g.bit_generator.state
+        with pytest.raises(ValueError, match=match):
+            generate_weather(SyntheticWeatherConfig(), rng=g, **kwargs)
+        assert g.bit_generator.state == before
+
 
 class TestClimateShape:
     def test_summer_hotter_than_winter(self):
